@@ -4,16 +4,22 @@ import org.apache.spark.sql.{SparkSession, SparkSessionExtensions}
 
 /** Injects [[PredicateTransferRule]] into the optimizer. Two entry points:
   *
-  *  - config-time: `--conf spark.sql.extensions=repro.catalyst.PredicateTransferExtensions`
+  *  - config-time: `--conf spark.sql.extensions=repro.catalyst.PredicateTransferExtensions`,
+  *    which runs the rule once, in the optimizer's pre-CBO batch;
   *  - runtime (tests / shared sessions): [[PredicateTransferExtensions.install]],
   *    which appends the rule to `spark.experimental.extraOptimizations` once.
+  *
+  * Both run the rule after the fixed-point operator batches. Run inside
+  * them, the rule would see its filters pushed around between its own runs,
+  * and `InferFiltersFromConstraints` would copy each one across its join
+  * key to the relation that built it, where it prunes nothing.
   *
   * Either way the rule is inert until the session conf
   * `spark.repro.predicateTransfer.enabled` is set to `true`.
   */
 class PredicateTransferExtensions extends (SparkSessionExtensions => Unit) {
   override def apply(extensions: SparkSessionExtensions): Unit =
-    extensions.injectOptimizerRule(_ => PredicateTransferRule)
+    extensions.injectPreCBORule(_ => PredicateTransferRule)
 }
 
 object PredicateTransferExtensions {
