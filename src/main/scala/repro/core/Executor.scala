@@ -10,7 +10,9 @@ import org.apache.spark.sql.{DataFrame, Row}
   *                           one arbitrarily and notes the sensitivity)
   * @param materializeReduced persist+count reduced tables at the end of the
   *                           pre-filter phase so phase timings are honest
-  *                           (used by timed benchmark runs)
+  *                           (used by timed benchmark runs). Under Pred-Trans
+  *                           a forward sink is materialized by the backward
+  *                           pass, which starts from it.
   * @param collectStepSizes   record per-join HT/PR input sizes (Table 1 runs)
   */
 final case class ExecOpts(

@@ -29,7 +29,12 @@ object PredicateTransfer {
     *                    into the same scan that builds its outgoing filters —
     *                    used by timed runs so the join phase starts from
     *                    cached pre-filtered tables (the paper's unified plan)
-    *                    and the transfer phase is charged for the filtering
+    *                    and the transfer phase is charged for the filtering.
+    *                    A forward sink (no outgoing edge) builds nothing in
+    *                    the forward pass and is left lazy there: the backward
+    *                    pass starts from it unchanged and persists and counts
+    *                    it in its first build job. An n-table query with one
+    *                    sink so costs 2n − 1 Spark jobs.
     */
   def reduce(
       graph: JoinGraph,
@@ -42,7 +47,7 @@ object PredicateTransfer {
     val est = graph.tables.map(t => t.name -> t.estRows).toMap
 
     def pass(g: TransferGraph, start: Map[String, DataFrame],
-             recordCounts: Boolean): Map[String, DataFrame] = {
+             last: Boolean): Map[String, DataFrame] = {
       // name -> (keys on this table, filter) accumulated from finished sources
       val inbox = mutable.Map.empty[String, List[(Seq[String], TransferFilter)]]
         .withDefaultValue(Nil)
@@ -51,19 +56,20 @@ object PredicateTransfer {
         var dfv = inbox(v).reverse.foldLeft(start(v)) {
           case (df, (keys, f)) => f.applyTo(df, keys)
         }
-        if (materialize) {
-          dfv = dfv.persist()
-          metrics.foreach(_.persisted += dfv)
+        val out = g.outgoing(v)
+        if (out.nonEmpty || (last && materialize)) {
+          if (materialize) {
+            dfv = dfv.persist()
+            metrics.foreach(_.persisted += dfv)
+          }
+          val (count, filters) = builder.buildMany(
+            dfv, out.map(_.fromKeys), est(v), withCount = materialize)
+          if (last) for (c <- count; m <- metrics) m.reducedRows(v) = c
+          out.zip(filters).foreach { case (e, f) =>
+            inbox(e.to) = (e.toKeys, f) :: inbox(e.to)
+          }
         }
         reduced(v) = dfv
-        val out = g.outgoing(v)
-        val (count, filters) = builder.buildMany(
-          dfv, out.map(_.fromKeys), est(v),
-          withCount = materialize)
-        if (recordCounts) for (c <- count; m <- metrics) m.reducedRows(v) = c
-        out.zip(filters).foreach { case (e, f) =>
-          inbox(e.to) = (e.toKeys, f) :: inbox(e.to)
-        }
       }
       reduced.toMap
     }
@@ -71,8 +77,8 @@ object PredicateTransfer {
     def timed[A](block: => A): A = metrics.fold(block)(_.timeTransfer(block))
 
     timed {
-      val forward = pass(tg, base, recordCounts = false)
-      pass(tg.reversed, forward, recordCounts = true)
+      val forward = pass(tg, base, last = false)
+      pass(tg.reversed, forward, last = true)
     }
   }
 }

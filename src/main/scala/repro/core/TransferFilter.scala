@@ -27,6 +27,8 @@ object TransferFilter {
 
   /** Normalize key columns so that hash-based filters agree across tables
     * whose key types differ only in width (INT nationkey vs BIGINT key etc.).
+    * Floating-point keys need no more than the widening: `xxhash64` hashes
+    * -0.0 as 0.0 and every NaN alike, as a join compares them.
     */
   def canonKeys(df: DataFrame, keys: Seq[String]): Seq[Column] = keys.map { k =>
     df.schema(k).dataType match {
@@ -94,9 +96,17 @@ trait FilterBuilder extends Serializable {
     */
   def buildMany(df: DataFrame, keySets: Seq[Seq[String]], expectedRows: Long,
                 withCount: Boolean): (Option[Long], Seq[TransferFilter]) = {
-    val count = if (withCount) Some(df.count()) else None
+    val count = if (withCount) Some(FilterBuilder.countRows(df)) else None
     (count, keySets.map(ks => build(df, ks, expectedRows)))
   }
+}
+
+object FilterBuilder {
+
+  /** Row count of `df` in one Spark job. `Dataset.count()` plans an
+    * aggregate whose exchange adaptive execution runs as a job of its own.
+    */
+  def countRows(df: DataFrame): Long = df.select().queryExecution.toRdd.count()
 }
 
 /** Builds [[BloomTransferFilter]]s with a fixed target false-positive rate. */
@@ -121,19 +131,20 @@ final case class BloomFilterBuilder(fpp: Double = 0.01) extends FilterBuilder {
 
   /** Single-scan batch build: one `treeAggregate` job inserts every key
     * set's hash into its own Bloom filter and counts rows as a side effect,
-    * so a vertex with k outgoing edges still costs exactly one table scan.
+    * so a vertex with k outgoing edges still costs exactly one table scan,
+    * and a count alone (no key sets) is the same one job.
     */
   override def buildMany(df: DataFrame, keySets: Seq[Seq[String]],
                          expectedRows: Long,
                          withCount: Boolean): (Option[Long], Seq[TransferFilter]) = {
-    if (keySets.isEmpty)
-      return (if (withCount) Some(df.count()) else None, Nil)
     val n = math.max(expectedRows, 64L)
     val hashCols = keySets.map(ks => TransferFilter.hashCol(df, ks))
     // zeroValue is re-deserialized per partition, so per-task mutation of the
     // filters is safe; combOp merges the per-partition filters pairwise.
     val zero = (0L, Array.fill(keySets.size)(BloomFilter.create(n, fpp)))
-    val (count, blooms) = df.select(hashCols: _*).rdd.treeAggregate(zero)(
+    // toRdd skips the conversion of every row to a Row; its rows are reused
+    // buffers, so each hash is read at once and no row is kept.
+    val (count, blooms) = df.select(hashCols: _*).queryExecution.toRdd.treeAggregate(zero)(
       seqOp = { case ((c, bfs), row) =>
         var i = 0
         while (i < bfs.length) { bfs(i).putLong(row.getLong(i)); i += 1 }

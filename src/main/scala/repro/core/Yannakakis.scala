@@ -105,7 +105,7 @@ object Yannakakis {
           semiJoin(fwd(e.child), e.childKeys, bwd(e.parent), e.parentKeys))
       }
       if (materialize) metrics.foreach { m =>
-        graph.tables.foreach(t => m.reducedRows(t.name) = bwd(t.name).count())
+        graph.tables.foreach(t => m.reducedRows(t.name) = FilterBuilder.countRows(bwd(t.name)))
       }
       bwd.toMap
     }

@@ -74,6 +74,23 @@ class ExecutorSpec extends SparkSpec {
     }
   }
 
+  test("floating-point join keys: every strategy keeps 0.0 = -0.0 and NaN = NaN matches") {
+    val otherNaN = java.lang.Double.longBitsToDouble(0x7ff8000000000001L)
+    val a = Seq((1L, 0.0), (2L, Double.NaN), (3L, 1.5)).toDF("a_id", "a_x")
+    val b = Seq((10L, -0.0), (20L, otherNaN), (30L, 2.5), (40L, -0.0)).toDF("b_id", "b_x")
+    val q = JoinQuery(
+      JoinGraph(Seq(TableRef("a", a, 3L), TableRef("b", b, 4L)),
+        Seq(JoinEdge("a", Seq("a_x"), "b", Seq("b_x")))),
+      joinOrder = Seq("b", "a"))
+    val base = Executor.run(q, Strategy.NoPredTrans)
+    assert(base.count() == 3L)
+    for (s <- Strategy.all.tail) {
+      TestData.assertSameRows(Executor.run(q, s), base, s.name)
+      val (rows, _) = Executor.runTimed(q, s)
+      assert(rows.length == 3, s.name)
+    }
+  }
+
   test("Strategy.byName round-trips and rejects junk") {
     for (s <- Strategy.all) assert(Strategy.byName(s.name) == s)
     assertThrows[IllegalArgumentException](Strategy.byName("nope"))

@@ -1,7 +1,10 @@
 package repro.core
 
+import org.apache.spark.JobCount
+import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkSpec, TestData}
+import repro.tpch.QueryCatalog
 
 /** The transfer phase itself: multi-hop propagation, backward pass,
   * result preservation, cyclic graphs, bloom-vs-exact containment.
@@ -10,14 +13,16 @@ class PredicateTransferSpec extends SparkSpec {
   import spark.implicits._
 
   /** Chain a(k) — b(k,j) — c(j): predicate on a must reach c (two hops). */
-  private def chain = {
+  private def chain: JoinGraph = chainWhereA(col("a_k") <= 2)
+
+  private def chainWhereA(aFilter: Column): JoinGraph = {
     val a = Seq(1L, 2L, 3L, 4L).toDF("a_k")
     val b = Seq((1L, 10L), (2L, 20L), (3L, 30L), (4L, 40L), (9L, 90L))
       .toDF("b_k", "b_j")
     val c = (1L to 100L).map(j => j * 10).toDF("c_j")
     JoinGraph(
       Seq(
-        TableRef("a", a, 4L, Some(col("a_k") <= 2)),
+        TableRef("a", a, 4L, Some(aFilter)),
         TableRef("b", b, 5L),
         TableRef("c", c, 100L)),
       Seq(
@@ -145,6 +150,47 @@ class PredicateTransferSpec extends SparkSpec {
       Seq(TableRef("a", Seq(1L, 2L, 3L).toDF("a_k"), 3L, Some(col("a_k") < 3))), Nil)
     val reduced = PredicateTransfer.reduce(g, ExactFilterBuilder)
     assert(reduced("a").count() == 2L)
+  }
+
+  test("a materialized reduction runs 2n - 1 Spark jobs") {
+    val t = TestData.tpch
+    val cases = Seq(
+      ("chain", chain, 5),
+      ("Q12", QueryCatalog.byName("Q12").build(t).graph, 3),
+      ("Q5", QueryCatalog.byName("Q5").build(t).graph, 11))
+    for ((name, g, expected) <- cases) {
+      val m = new ExecMetrics
+      val (_, jobs) = JobCount.of(spark.sparkContext)(
+        PredicateTransfer.reduce(g, BloomFilterBuilder(), Some(m), materialize = true))
+      m.release()
+      assert(expected == 2 * g.tables.size - 1, name)
+      assert(jobs == expected, name)
+    }
+  }
+
+  test("materialized and lazy reductions keep the same rows, and reducedRows counts them") {
+    for (q <- Seq("Q3", "Q5", "Q12", "Q14")) {
+      val g = QueryCatalog.byName(q).build(TestData.tpch).graph
+      val lazily = PredicateTransfer.reduce(g, BloomFilterBuilder())
+      val m = new ExecMetrics
+      val materialized = PredicateTransfer.reduce(g, BloomFilterBuilder(), Some(m),
+        materialize = true)
+      try for (t <- g.tables.map(_.name)) {
+        val rows = TestData.canon(lazily(t))
+        assert(TestData.canon(materialized(t)) == rows, s"$q/$t")
+        assert(m.reducedRows(t) == rows.size.toLong, s"$q/$t")
+      } finally m.release()
+    }
+  }
+
+  test("a vertex its local filter empties counts 0 and empties every vertex") {
+    val m = new ExecMetrics
+    val reduced = PredicateTransfer.reduce(chainWhereA(col("a_k") > 100),
+      BloomFilterBuilder(), Some(m), materialize = true)
+    try {
+      assert(m.reducedRows.toMap == Map("a" -> 0L, "b" -> 0L, "c" -> 0L))
+      for ((t, df) <- reduced) assert(df.count() == 0L, t)
+    } finally m.release()
   }
 
   test("transfer time lands in metrics.transferNanos") {

@@ -60,12 +60,25 @@ class TransferFilterSpec extends SparkSpec {
   }
 
   test("empty build side filters everything (bloom and exact)") {
-    val build = keysDf(Nil, "b")
     val probe = keysDf(1L to 100L, "k")
-    assert(BloomFilterBuilder().build(build, Seq("b"), 0)
-      .applyTo(probe, Seq("k")).count() == 0L)
-    assert(ExactFilterBuilder.build(build, Seq("b"), 0)
-      .applyTo(probe, Seq("k")).count() == 0L)
+    // no rows at all, and rows a local filter removes before the build
+    for (build <- Seq(keysDf(Nil, "b"), keysDf(1L to 10L, "b").filter(col("b") > 100))) {
+      assert(BloomFilterBuilder().build(build, Seq("b"), 0)
+        .applyTo(probe, Seq("k")).count() == 0L)
+      assert(ExactFilterBuilder.build(build, Seq("b"), 0)
+        .applyTo(probe, Seq("k")).count() == 0L)
+      val (count, Seq(f)) = BloomFilterBuilder().buildMany(build, Seq(Seq("b")), 0,
+        withCount = true)
+      assert(count.contains(0L))
+      assert(f.applyTo(probe, Seq("k")).count() == 0L)
+    }
+  }
+
+  test("buildMany with no key sets is a count alone") {
+    val (count, filters) = BloomFilterBuilder().buildMany(keysDf(1L to 7L, "b"), Nil, 7,
+      withCount = true)
+    assert(count.contains(7L))
+    assert(filters.isEmpty)
   }
 
   test("canonKeys makes INT build side filter BIGINT probe side") {
@@ -114,6 +127,20 @@ class TransferFilterSpec extends SparkSpec {
     assert(ExactFilterBuilder.build(df, Seq("b"), 1).kind == "exact")
     assert(BloomFilterBuilder(0.02).name.contains("0.02"))
     assert(ExactFilterBuilder.name == "exact")
+  }
+
+  test("floating-point keys a join holds equal pass every filter: 0.0/-0.0 and NaN") {
+    val otherNaN = java.lang.Double.longBitsToDouble(0x7ff8000000000001L)
+    val probe = Seq(-0.0, 0.0, Double.NaN, otherNaN).toDF("k")
+    for (build <- Seq(Seq(0.0, Double.NaN).toDF("b"), Seq(-0.0, otherNaN).toDF("b"),
+                      Seq(-0.0f, Float.NaN).toDF("b"))) {
+      val filters = Seq(
+        BloomFilterBuilder().build(build, Seq("b"), 2),
+        BloomFilterBuilder().buildMany(build, Seq(Seq("b")), 2, withCount = false)._2.head,
+        ExactFilterBuilder.build(build, Seq("b"), 2))
+      for (f <- filters)
+        assert(f.applyTo(probe, Seq("k")).count() == 4L, s"${f.kind} over ${build.schema}")
+    }
   }
 
   test("double keys match exactly across filters") {
